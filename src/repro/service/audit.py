@@ -24,6 +24,14 @@ all appending to the same JSONL path) interleave whole lines rather
 than bytes.  Call :meth:`close` — or
 use the log as a context manager — to release the descriptor; the next
 ``emit`` transparently reopens it.
+
+Readers share one rule for what counts as a record: a newline-terminated
+line that decodes as a UTF-8 JSON object.  Blank and undecodable lines
+(a SIGKILLed writer's torn record, possibly glued to the next writer's
+line) are skipped, and an unterminated final line is not a record yet.
+:meth:`AuditLog.read_jsonl` applies it to a whole file;
+:class:`AuditIndex` applies it incrementally to the bytes appended since
+its last read, so a long-lived reader pays for new bytes only.
 """
 
 from __future__ import annotations
@@ -32,9 +40,17 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Set
 
-__all__ = ["AuditLog"]
+__all__ = ["AuditIndex", "AuditLog", "TERMINAL_EVENTS"]
+
+#: Audit events that mark a session as finished for replay purposes.
+#: ``session-report`` is the definitive end-of-session record; the others
+#: cover paths where report rendering failed or the session was cancelled.
+TERMINAL_EVENTS = frozenset({
+    "session-report", "cancelled", "deployed", "failed",
+    "deployment-blocked",
+})
 
 
 def _jsonable(value: object) -> object:
@@ -51,6 +67,24 @@ def _jsonable(value: object) -> object:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+def _decode_line(line: bytes, strict: bool = False) -> Dict[str, object] | None:
+    """One audit line → its record; ``None`` for a blank or bad line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except ValueError:                 # JSONDecodeError, UnicodeDecodeError
+        if strict:
+            raise
+        return None
+    if isinstance(record, dict):
+        return record
+    if strict:
+        raise ValueError(f"audit line is not a JSON object: {line[:80]!r}")
+    return None
 
 
 class AuditLog:
@@ -137,20 +171,100 @@ class AuditLog:
                    strict: bool = False) -> List[Dict[str, object]]:
         """Parse a JSONL audit file back into event records.
 
-        By default undecodable lines are skipped: a SIGKILLed shard can
-        leave one torn record at its tail, and crash recovery must still
-        be able to replay everything before it.  ``strict=True`` raises
-        instead.
+        By default undecodable lines are skipped and an unterminated final
+        line is left out: a SIGKILLed shard can leave one torn record at
+        its tail, and crash recovery must still be able to replay
+        everything before it.  ``strict=True`` raises instead.
         """
         records = []
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
+                if not line.endswith(b"\n"):
                     if strict:
-                        raise
+                        raise json.JSONDecodeError(
+                            "unterminated final record",
+                            line.decode("utf-8", "replace"), len(line))
+                    break
+                record = _decode_line(line, strict)
+                if record is not None:
+                    records.append(record)
         return records
+
+
+class AuditIndex:
+    """Incremental replay index over a shared JSONL audit file.
+
+    Tracks, per owning shard, the ``shard-accepted`` events whose session
+    has no terminal event yet, plus the set of sessions that reached one.
+    Each query first decodes only the complete lines appended since the
+    previous query (a byte offset plus the unterminated tail are kept),
+    so answering a replay or a status poll costs the new bytes, not the
+    whole history.  A terminal event suppresses replay whichever order it
+    and its ``shard-accepted`` line landed in.  A file shorter than the
+    bytes already consumed was truncated or replaced: the index rebuilds
+    from offset 0 (a truncation regrown past the old offset between two
+    queries goes unnoticed).  Otherwise its answers equal those of a
+    :meth:`AuditLog.read_jsonl` scan of the same bytes.  Thread-safe.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = os.fspath(path)
+        self._lock = threading.Lock()
+        self._reset()
+
+    def _reset(self) -> None:
+        self._offset = 0
+        self._tail = b""
+        self._pending: Dict[object, Dict[str, Dict[str, object]]] = {}
+        self._terminal: Set[str] = set()
+
+    def pending(self, shard: object) -> List[Dict[str, object]]:
+        """``shard``'s accepted-but-unfinished events, in acceptance order."""
+        with self._lock:
+            self._catch_up()
+            return list(self._pending.get(shard, {}).values())
+
+    def is_terminal(self, session_id: str) -> bool:
+        """Whether the file records a terminal event for the session."""
+        with self._lock:
+            self._catch_up()
+            return str(session_id) in self._terminal
+
+    def refresh(self) -> None:
+        """Consume every complete line appended so far."""
+        with self._lock:
+            self._catch_up()
+
+    def _catch_up(self) -> None:
+        try:
+            with open(self.path, "rb") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                if size < self._offset:
+                    self._reset()
+                if size == self._offset:
+                    return
+                handle.seek(self._offset)
+                data = handle.read(size - self._offset)
+        except FileNotFoundError:
+            self._reset()
+            return
+        self._offset += len(data)
+        lines = (self._tail + data).split(b"\n")
+        self._tail = lines.pop()
+        for line in lines:
+            record = _decode_line(line)
+            if record is not None:
+                self._apply(record)
+
+    def _apply(self, record: Dict[str, object]) -> None:
+        session_id = str(record.get("session"))
+        kind = record.get("event")
+        if kind == "shard-accepted":
+            shard = record.get("shard")
+            if session_id not in self._terminal \
+                    and not isinstance(shard, (dict, list)):
+                self._pending.setdefault(shard, {})[session_id] = record
+        elif kind in TERMINAL_EVENTS and session_id not in self._terminal:
+            self._terminal.add(session_id)
+            for owned in self._pending.values():
+                owned.pop(session_id, None)

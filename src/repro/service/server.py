@@ -55,6 +55,7 @@ from .safety import CanaryVerdict, SafetyGuard
 from ..core.recommender import Recommendation
 from ..core.results import SessionReport, Telemetry, TrainingResult, TuningResult
 from ..core.tuner import CDBTune
+from ..dbsim.errors import DatabaseCrashError
 from ..dbsim.hardware import HardwareSpec
 from ..dbsim.workload import WorkloadSpec, get_workload
 from ..obs import get_logger, get_metrics, get_tracer, profile_block
@@ -630,6 +631,16 @@ class TuningService:
         with self._cond:
             return len(self._sessions)
 
+    def pending_count(self) -> int:
+        """Sessions queued or in flight (not yet in a terminal state).
+
+        Counts under the service lock without building status snapshots:
+        the shard heartbeat asks for it every tick.
+        """
+        with self._cond:
+            return sum(1 for session in self._sessions.values()
+                       if session.state not in SessionState.TERMINAL)
+
     def workers_alive(self) -> int:
         """Worker threads currently running (== ``workers`` when healthy).
 
@@ -1006,9 +1017,24 @@ class TuningService:
                     profile_block("service.tuning",
                                   phases=session.phase_seconds,
                                   phase_key="tuning"):
-                session.tuning = tuner.tune(request.hardware, tuning_workload,
-                                            steps=request.tune_steps,
-                                            initial_config=deployed_config)
+                try:
+                    session.tuning = tuner.tune(
+                        request.hardware, tuning_workload,
+                        steps=request.tune_steps,
+                        initial_config=deployed_config)
+                except DatabaseCrashError as crash:
+                    if deployed_config is None:
+                        raise
+                    # The tenant's live config crashes on this hardware
+                    # (a redo-log group sized for a bigger disk, after a
+                    # move to a smaller instance): tune from the
+                    # hardware's defaults instead.
+                    self._audit(session, "deployed-config-crashed",
+                                hardware=request.hardware.name,
+                                reason=crash.reason)
+                    session.tuning = tuner.tune(
+                        request.hardware, tuning_workload,
+                        steps=request.tune_steps)
 
             # Staged verification: when the session tuned on a genuinely
             # compressed mix, promote the top candidates to one full-mix

@@ -59,9 +59,10 @@ import time
 from bisect import bisect_right
 from dataclasses import asdict
 from hashlib import sha256
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Dict, List, Optional
 
-from .audit import AuditLog, _jsonable
+from .audit import AuditIndex, AuditLog, _jsonable
 from .recommendation import wrap_status
 from .registry import ModelRegistry
 from .server import QueueFullError, SessionState, TuningRequest, TuningService
@@ -83,13 +84,10 @@ logger = get_logger(__name__)
 __all__ = ["ConsistentHashRing", "ShardedTuningService", "request_from_wire",
            "request_to_wire"]
 
-#: Audit events that mark a session as finished for replay purposes.
-#: ``session-report`` is the definitive end-of-session record; the others
-#: cover paths where report rendering failed or the session was cancelled.
-_TERMINAL_EVENTS = frozenset({
-    "session-report", "cancelled", "deployed", "failed",
-    "deployment-blocked",
-})
+#: Bound on reaping a shard whose sentinel fired: the sentinel turns
+#: readable when the child's descriptors close, a few ms before
+#: ``waitpid`` can collect it.
+_REAP_TIMEOUT_S = 2.0
 
 
 # -- wire protocol ---------------------------------------------------------
@@ -226,15 +224,12 @@ def _shard_dispatch(service: TuningService,
         if op == "ping":
             return {"ok": True, "result": {"pid": os.getpid()}}
         if op == "stats":
-            statuses = service.sessions()
-            pending = sum(1 for status in statuses
-                          if status["state"] not in SessionState.TERMINAL)
             return {"ok": True, "result": {
                 "pid": os.getpid(),
                 "queue_depth": service.queue_depth(),
                 "session_count": service.session_count(),
                 "workers_alive": service.workers_alive(),
-                "pending": pending,
+                "pending": service.pending_count(),
             }}
         if op == "submit":
             request = request_from_wire(message["request"])
@@ -301,6 +296,16 @@ def _shard_main(index: int, conn: socket.socket, audit_path: str,
         except OSError:
             pass
         audit.close()
+
+
+def _exited(process: multiprocessing.process.BaseProcess) -> bool:
+    """Whether the process sentinel fired: the child is gone, reaped or not.
+
+    ``is_alive()`` polls ``waitpid`` and keeps answering True for the few
+    ms between the child's descriptors closing and its exit status
+    becoming collectable.
+    """
+    return bool(wait_ready([process.sentinel], 0))
 
 
 class _ShardHandle:
@@ -382,6 +387,9 @@ class ShardedTuningService:
         #: Parent-side audit handle: ``shard-accepted``/``shard-replayed``
         #: supervision events (shards append their own lifecycle events).
         self.audit = AuditLog(path=self.audit_path, source="parent")
+        #: Replay and post-respawn status polls read the shared file
+        #: through this index: each query decodes only the new bytes.
+        self._audit_index = AuditIndex(self.audit_path)
         self._ring = ConsistentHashRing(self.shards)
         self._handles = [_ShardHandle(index) for index in range(self.shards)]
         self._meta: Dict[str, Dict[str, object]] = {}  # sid → shard/trace
@@ -398,6 +406,7 @@ class ShardedTuningService:
         self._stopping = False
         self._supervisor: threading.Thread | None = None
         self._stop_event = threading.Event()
+        self._wakeup: tuple[int, int] | None = None   # pipe: stop → supervisor
         self._mp = multiprocessing.get_context("fork")
 
     # -- defaults ----------------------------------------------------------
@@ -419,6 +428,7 @@ class ShardedTuningService:
         if self._stopping:
             raise RuntimeError("service has been shut down")
         self._started = True
+        self._wakeup = os.pipe()
         for handle in self._handles:
             with handle.lock:
                 self._spawn_locked(handle)
@@ -450,8 +460,14 @@ class ShardedTuningService:
         """Stop every shard; one overall ``timeout`` deadline."""
         self._stopping = True
         self._stop_event.set()
+        if self._wakeup is not None:
+            os.write(self._wakeup[1], b"\0")
         if self._supervisor is not None:
             self._supervisor.join(timeout=max(2.0, self.heartbeat_timeout))
+            if not self._supervisor.is_alive() and self._wakeup is not None:
+                for fd in self._wakeup:
+                    os.close(fd)
+                self._wakeup = None
             self._supervisor = None
         deadline = None if timeout is None else time.monotonic() + timeout
 
@@ -529,13 +545,16 @@ class ShardedTuningService:
             if self._stopping:
                 return
             process = handle.process
-            if process is not None and process.is_alive() \
-                    and handle.sock is not None:
+            exited = process is not None and _exited(process)
+            if process is not None and not exited \
+                    and handle.sock is not None and process.is_alive():
                 return                 # raced with another recoverer
             logger.warning("shard %d (pid %s) is down; respawning",
                            handle.index,
                            process.pid if process is not None else "?")
-            if process is not None and process.is_alive():
+            if exited:
+                process.join(_REAP_TIMEOUT_S)
+            elif process is not None and process.is_alive():
                 process.terminate()    # alive but channel broken
                 process.join(2.0)
                 if process.is_alive():
@@ -559,27 +578,14 @@ class ShardedTuningService:
     def _replay_locked(self, handle: _ShardHandle) -> int:
         """Resubmit this shard's acknowledged-but-unfinished sessions.
 
-        Replay source is the shared audit JSONL: ``shard-accepted``
-        events owned by this shard whose session has no terminal event.
-        Caller holds ``handle.lock`` (the RPCs below re-enter it).
+        Replay source is the shared audit JSONL, read through the
+        incremental index: ``shard-accepted`` events owned by this shard
+        whose session has no terminal event.  Caller holds
+        ``handle.lock`` (the RPCs below re-enter it).
         """
-        try:
-            events = AuditLog.read_jsonl(self.audit_path)
-        except FileNotFoundError:      # pragma: no cover - nothing to do
-            return 0
-        accepted: Dict[str, Dict[str, object]] = {}
-        finished = set()
-        for event in events:
-            session_id = str(event.get("session"))
-            kind = event.get("event")
-            if kind == "shard-accepted" and event.get("shard") == handle.index:
-                accepted[session_id] = event
-            elif kind in _TERMINAL_EVENTS:
-                finished.add(session_id)
         replayed = 0
-        for session_id, event in accepted.items():
-            if session_id in finished:
-                continue
+        for event in self._audit_index.pending(handle.index):
+            session_id = str(event.get("session"))
             try:
                 reply = self._rpc(handle, {
                     "op": "submit", "session": session_id,
@@ -609,37 +615,67 @@ class ShardedTuningService:
         return replayed
 
     def _supervise(self) -> None:
-        """Heartbeat + process sentinel; respawns and replays on death."""
-        while not self._stop_event.wait(self.heartbeat_interval):
-            for handle in self._handles:
+        """Respawn dead shards as they die; heartbeat the live ones.
+
+        Blocks on every shard's process sentinel (plus the shutdown
+        wake-up pipe), so a death is handled the moment the child's
+        descriptors close rather than on the next heartbeat tick.  A fired
+        sentinel goes straight to :meth:`_recover`, which reaps the child
+        and respawns it once.  Every ``heartbeat_interval`` the live
+        shards also answer a ``stats`` RPC: that catches the deaths a
+        sentinel cannot show (a broken or hung channel, or a forked
+        grandchild still holding the sentinel's pipe open) and refreshes
+        the per-shard gauges.  The first act is catching the audit index
+        up on a pre-existing trail, off the start-up path.
+        """
+        self._audit_index.refresh()
+        next_beat = time.monotonic() + self.heartbeat_interval
+        while not self._stop_event.is_set():
+            watched = {handle.process.sentinel: handle
+                       for handle in self._handles
+                       if handle.process is not None}
+            ready = wait_ready([self._wakeup[0], *watched],
+                               max(0.0, next_beat - time.monotonic()))
+            for sentinel in ready:
                 if self._stop_event.is_set():
                     return
-                process = handle.process
-                if process is None or not process.is_alive() \
-                        or handle.sock is None:
-                    self._recover(handle)
-                    continue
-                try:
-                    reply = self._rpc(handle, {"op": "stats"},
-                                      self.heartbeat_timeout)
-                except ConnectionError:
-                    self._recover(handle)
-                    continue
-                if not reply.get("ok"):
-                    continue
-                stats = reply["result"]
-                handle.stats = stats
-                metrics = get_metrics()
-                prefix = f"service.shard{handle.index}"
-                metrics.gauge(f"{prefix}.queue_depth",
-                              help="Sessions queued on this shard").set(
-                    stats["queue_depth"])
-                metrics.gauge(f"{prefix}.sessions",
-                              help="Sessions held on this shard").set(
-                    stats["session_count"])
-                metrics.gauge(f"{prefix}.workers_alive",
-                              help="Live worker threads on this "
-                                   "shard").set(stats["workers_alive"])
+                if sentinel in watched:
+                    self._recover(watched[sentinel])
+            if time.monotonic() >= next_beat:
+                self._heartbeat()
+                next_beat = time.monotonic() + self.heartbeat_interval
+
+    def _heartbeat(self) -> None:
+        """One ``stats`` round over the shards; recovers unresponsive ones."""
+        for handle in self._handles:
+            if self._stop_event.is_set():
+                return
+            process = handle.process
+            if process is None or not process.is_alive() \
+                    or handle.sock is None:
+                self._recover(handle)
+                continue
+            try:
+                reply = self._rpc(handle, {"op": "stats"},
+                                  self.heartbeat_timeout)
+            except ConnectionError:
+                self._recover(handle)
+                continue
+            if not reply.get("ok"):
+                continue
+            stats = reply["result"]
+            handle.stats = stats
+            metrics = get_metrics()
+            prefix = f"service.shard{handle.index}"
+            metrics.gauge(f"{prefix}.queue_depth",
+                          help="Sessions queued on this shard").set(
+                stats["queue_depth"])
+            metrics.gauge(f"{prefix}.sessions",
+                          help="Sessions held on this shard").set(
+                stats["session_count"])
+            metrics.gauge(f"{prefix}.workers_alive",
+                          help="Live worker threads on this "
+                               "shard").set(stats["workers_alive"])
 
     # -- client API (front-door compatible) --------------------------------
     def shard_for(self, tenant: str) -> int:
@@ -731,16 +767,6 @@ class ShardedTuningService:
         return {"id": session_id, "state": SessionState.EXPIRED,
                 "expired": True}
 
-    def _terminal_in_audit(self, session_id: str) -> bool:
-        """Whether the shared JSONL records a terminal event for the id."""
-        try:
-            events = AuditLog.read_jsonl(self.audit_path)
-        except FileNotFoundError:
-            return False
-        return any(str(event.get("session")) == session_id
-                   and event.get("event") in _TERMINAL_EVENTS
-                   for event in events)
-
     def status(self, session_id: str) -> Dict[str, object]:
         """One session's snapshot, fetched from its owning shard.
 
@@ -783,7 +809,7 @@ class ShardedTuningService:
             # wrapper (the legacy alias key itself relays fine).
             return wrap_status(result) if isinstance(result, dict) else result
         if reply.get("kind") == "unknown-session":
-            if self._terminal_in_audit(session_id):
+            if self._audit_index.is_terminal(session_id):
                 return self._expire_meta(session_id)
             return placeholder         # respawned; replay is in flight
         raise RuntimeError(f"shard {meta['shard']} status failed: "

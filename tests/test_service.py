@@ -21,7 +21,8 @@ import pytest
 
 from repro.core.tuner import CDBTune
 from repro.dbsim.engine import SimulatedDatabase
-from repro.dbsim.hardware import CDB_A, CDB_B, CDB_C
+from repro.dbsim.errors import DatabaseCrashError
+from repro.dbsim.hardware import CDB_A, CDB_B, CDB_C, CDB_E
 from repro.dbsim.workload import get_workload, signature_distance
 from repro.service import (
     SLA,
@@ -40,6 +41,11 @@ GIB = 1024 ** 3
 #: region, and the configuration the guard must never deploy.
 LETHAL_LOG_CONFIG = {"innodb_log_file_size": 16 * GIB,
                      "innodb_log_files_in_group": 100}
+
+#: Redo log group of 64 GB: inside CDB-E's 150 GB log share of its
+#: 300 GB disk, beyond CDB-A's 50 GB share of 100 GB.
+E_SIZED_LOG_CONFIG = {"innodb_log_file_size": GIB,
+                      "innodb_log_files_in_group": 64}
 
 #: Small, fast training budget shared by the service tests.
 TRAIN_KWARGS = {"probe_every": 1000, "episode_length": 6,
@@ -369,6 +375,39 @@ class TestTuningServiceSessions:
         # The tenant stays on its seeded baseline.
         assert (service.guard.deployed_config("sysbench-rw@CDB-A")
                 is not None)
+
+    def test_tenant_moved_to_smaller_disk_tunes_from_defaults(self):
+        """A tenant moved CDB-E → CDB-A keeps its deployed config.  A redo
+        log group that fits CDB-E's disk crashes CDB-A's, so tuning from
+        it failed every later session of the tenant; the session now tunes
+        from CDB-A's defaults and deploys a config that runs there."""
+        workload = get_workload("sysbench-rw")
+        on_e = SimulatedDatabase(CDB_E, workload, noise=0.0, seed=0)
+        on_a = SimulatedDatabase(CDB_A, workload, noise=0.0, seed=0)
+        moved = {**on_e.default_config(), **E_SIZED_LOG_CONFIG}
+        on_e.evaluate(moved)                  # fine on the big disk
+        with pytest.raises(DatabaseCrashError):
+            on_a.evaluate(moved)
+        service = _service()
+        tenant = "moved-tenant"
+        assert service.guard.seed_baseline_if_absent(tenant, moved)
+        first = service.wait(service.submit(_request(tenant=tenant)),
+                             timeout=300)
+        second = service.wait(service.submit(_request(tenant=tenant,
+                                                      seed=6)),
+                              timeout=300)
+        service.shutdown()
+        assert first.state == SessionState.DEPLOYED, first.error
+        assert second.state == SessionState.DEPLOYED, second.error
+        events = [r["event"] for r in service.audit.events(
+            session_id=first.id)]
+        assert events.count("deployed-config-crashed") == 1
+        assert events.count("deployed") == 1
+        assert "failed" not in events
+        # The new live config runs on CDB-A: the next session tunes from it.
+        on_a.evaluate(service.guard.deployed_config(tenant))
+        assert "deployed-config-crashed" not in [
+            r["event"] for r in service.audit.events(session_id=second.id)]
 
     def test_priority_order_with_deferred_start(self):
         service = TuningService(workers=1, tuner_factory=_tiny_tuner,

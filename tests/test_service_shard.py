@@ -17,6 +17,7 @@ import pytest
 from repro.core.tuner import CDBTune
 from repro.dbsim.hardware import CDB_A, CDB_B
 from repro.dbsim.workload import get_workload
+from repro.obs import get_metrics
 from repro.reuse import WorkloadMix
 from repro.service import (
     AuditLog,
@@ -325,6 +326,38 @@ class TestShardedService:
             # wait() terminates on the marker instead of polling forever.
             assert service.wait(sid, timeout=30)["state"] \
                 == SessionState.EXPIRED
+
+    def test_sentinel_respawns_well_inside_heartbeat_interval(
+            self, tmp_path):
+        """The supervisor wakes on the dead shard's process sentinel, not
+        on its heartbeat tick: with a 5 s interval a SIGKILLed shard is
+        back in well under that, respawned exactly once.  The sentinel
+        fires a few ms before the child can be reaped; ``_recover`` must
+        treat it as dead then, not spin on its raced-recoverer return."""
+        service = _sharded(tmp_path, shards=1, heartbeat_interval=5.0)
+        entries = []
+        recover = service._recover
+
+        def counting_recover(handle):
+            entries.append(handle.index)
+            return recover(handle)
+
+        service._recover = counting_recover
+        respawns = get_metrics().counter("service.shard_respawns")
+        with service:
+            pid = service.shard_pid(0)
+            before = respawns.value
+            killed = time.monotonic()
+            os.kill(pid, signal.SIGKILL)
+            while service.shard_pid(0) == pid:
+                assert time.monotonic() - killed < 1.5, "no respawn yet"
+                time.sleep(0.005)
+            time.sleep(0.5)                # let a spinning loop show
+            assert respawns.value - before == 1
+            assert 1 <= len(entries) <= 3
+            sid = service.submit(_request("tenant-after", train_steps=2))
+            assert service.wait(sid, timeout=300)["state"] \
+                in SessionState.TERMINAL
 
     def test_routing_meta_bounded_past_cap(self, tmp_path):
         """Parent-side routing metadata must not regrow the unbounded
